@@ -9,7 +9,9 @@ so one physical site yields at most one violation per family.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dfm.guidelines import Guideline, all_guidelines
@@ -49,56 +51,41 @@ def check_layout(
             h_by_row.setdefault(seg.y1, []).append(seg)
         else:
             v_by_col.setdefault(seg.x1, []).append(seg)
-    via_grid: Dict[Tuple[int, int], int] = {}
-    for via in layout.vias:
-        via_grid[(via.x, via.y)] = via_grid.get((via.x, via.y), 0) + 1
-
-    def neighbours(via: Via, r: int) -> int:
-        count = 0
-        for dx in range(-r, r + 1):
-            for dy in range(-r, r + 1):
-                count += via_grid.get((via.x + dx, via.y + dy), 0)
-        return count - 1  # exclude the via itself
 
     # ---- via rules -----------------------------------------------------
-    iso = by_rule.get("isolated_via", [])
-    crowd = by_rule.get("crowded_via", [])
-    near = by_rule.get("via_near_metal", [])
+    # isolated_via / crowded_via predicates depend on the radius too, so
+    # each via scans these strictest first and takes the first that
+    # holds; the sorts are stable, so on an equal key the earlier
+    # guideline in the deck wins.
+    iso = sorted(by_rule.get("isolated_via", []),
+                 key=lambda g: (g.params["t"], g.params["r"]))
+    crowd = sorted(by_rule.get("crowded_via", []),
+                   key=lambda g: g.params["t"], reverse=True)
+    near = _Thresholds(by_rule.get("via_near_metal", []), "t")
+    radii = sorted({g.params["r"] for g in iso + crowd})
+    neighbours = (_neighbour_counter(layout.vias)
+                  if radii and layout.vias else None)
+    if near:
+        h_runs = _longest_first(h_by_row, True)
+        v_runs = _longest_first(v_by_col, False)
     for via in layout.vias:
-        ncache: Dict[int, int] = {}
-
-        def ncnt(r: int) -> int:
-            if r not in ncache:
-                ncache[r] = neighbours(via, r)
-            return ncache[r]
-
-        hit = _strictest(
-            iso, key=lambda g: (g.params["t"], g.params["r"]),
-            pred=lambda g: ncnt(g.params["r"]) <= g.params["t"],
-            prefer_smallest=True,
-        )
-        if hit:
-            violations.append(LayoutViolation(
-                hit.gid, OPEN, via.net, None, (via.x, via.y), via.owner,
-            ))
-        hit = _strictest(
-            crowd, key=lambda g: g.params["t"],
-            pred=lambda g: ncnt(g.params["r"]) >= g.params["t"],
-            prefer_smallest=False,
-        )
-        if hit:
-            violations.append(LayoutViolation(
-                hit.gid, OPEN, via.net, None, (via.x, via.y), via.owner,
-            ))
+        if neighbours is not None:
+            counts = {r: neighbours(via.x, via.y, r) for r in radii}
+            for g in iso:
+                if counts[g.params["r"]] <= g.params["t"]:
+                    violations.append(LayoutViolation(
+                        g.gid, OPEN, via.net, None, (via.x, via.y), via.owner,
+                    ))
+                    break
+            for g in crowd:
+                if counts[g.params["r"]] >= g.params["t"]:
+                    violations.append(LayoutViolation(
+                        g.gid, OPEN, via.net, None, (via.x, via.y), via.owner,
+                    ))
+                    break
         if near:
-            foreign_len, foreign_net = _foreign_metal(
-                via, h_by_row, v_by_col
-            )
-            hit = _strictest(
-                near, key=lambda g: g.params["t"],
-                pred=lambda g: foreign_len >= g.params["t"],
-                prefer_smallest=False,
-            )
+            foreign_len, foreign_net = _foreign_metal(via, h_runs, v_runs)
+            hit = near.at_least(foreign_len)
             if hit and foreign_net is not None:
                 violations.append(LayoutViolation(
                     hit.gid, BRIDGE, via.net, foreign_net,
@@ -106,37 +93,25 @@ def check_layout(
                 ))
 
     # ---- metal rules ---------------------------------------------------
-    prun = by_rule.get("parallel_run", [])
+    prun = _Thresholds(by_rule.get("parallel_run", []), "t")
     if prun:
         for pair, overlap, loc in _parallel_pairs(h_by_row, v_by_col):
-            hit = _strictest(
-                prun, key=lambda g: g.params["t"],
-                pred=lambda g: overlap >= g.params["t"],
-                prefer_smallest=False,
-            )
+            hit = prun.at_least(overlap)
             if hit:
                 violations.append(LayoutViolation(
                     hit.gid, BRIDGE, pair[0], pair[1], loc, None,
                 ))
-    lwire = by_rule.get("long_wire", [])
-    xings = by_rule.get("many_crossings", [])
-    for seg in layout.segments:
-        hit = _strictest(
-            lwire, key=lambda g: g.params["t"],
-            pred=lambda g: seg.length >= g.params["t"],
-            prefer_smallest=False,
-        )
+    lwire = _Thresholds(by_rule.get("long_wire", []), "t")
+    xings = _Thresholds(by_rule.get("many_crossings", []), "t")
+    crossings = _crossings(layout.segments) if xings else []
+    for i, seg in enumerate(layout.segments):
+        hit = lwire.at_least(seg.length)
         if hit:
             violations.append(LayoutViolation(
                 hit.gid, OPEN, seg.net, None, (seg.x1, seg.y1), None,
             ))
         if xings:
-            n_cross = _crossings(seg, h_by_row, v_by_col)
-            hit = _strictest(
-                xings, key=lambda g: g.params["t"],
-                pred=lambda g: n_cross >= g.params["t"],
-                prefer_smallest=False,
-            )
+            hit = xings.at_least(crossings[i])
             if hit:
                 violations.append(LayoutViolation(
                     hit.gid, OPEN, seg.net, None, (seg.x1, seg.y1), None,
@@ -146,29 +121,21 @@ def check_layout(
     dlow = by_rule.get("density_low", [])
     dhigh = by_rule.get("density_high", [])
     for w in sorted({g.params["w"] for g in dlow + dhigh}):
+        low = _Thresholds([g for g in dlow if g.params["w"] == w], "lo")
+        high = _Thresholds([g for g in dhigh if g.params["w"] == w], "hi")
         for (wx, wy), length_by_net in _windows(layout, w).items():
             total = sum(length_by_net.values())
             density = total / float(w * w)
             nets = sorted(
                 length_by_net, key=lambda n: (-length_by_net[n], n)
             )
-            hit = _strictest(
-                [g for g in dlow if g.params["w"] == w],
-                key=lambda g: g.params["lo"],
-                pred=lambda g: density * 100.0 < g.params["lo"],
-                prefer_smallest=True,
-            )
+            hit = low.lowest_above(density * 100.0)
             if hit and nets:
                 for net in nets[:2]:
                     violations.append(LayoutViolation(
                         hit.gid, OPEN, net, None, (wx, wy), None,
                     ))
-            hit = _strictest(
-                [g for g in dhigh if g.params["w"] == w],
-                key=lambda g: g.params["hi"],
-                pred=lambda g: density * 100.0 > g.params["hi"],
-                prefer_smallest=False,
-            )
+            hit = high.highest_below(density * 100.0)
             if hit and len(nets) >= 2:
                 violations.append(LayoutViolation(
                     hit.gid, BRIDGE, nets[0], nets[1], (wx, wy), None,
@@ -176,42 +143,110 @@ def check_layout(
     return violations
 
 
-def _strictest(guidelines, key, pred, prefer_smallest):
-    """The most specific guideline whose predicate holds, or None."""
-    best = None
-    for g in guidelines:
-        if not pred(g):
-            continue
-        if best is None:
-            best = g
-        elif prefer_smallest and key(g) < key(best):
-            best = g
-        elif not prefer_smallest and key(g) > key(best):
-            best = g
-    return best
+class _Thresholds:
+    """One rule's guidelines as a sorted table of a single threshold.
+
+    Replaces a scan over the guidelines with a bisection.  A threshold
+    shared by several guidelines maps to the earliest one in the deck,
+    which is the one a deck-order scan keeping strict improvements picks.
+    """
+
+    def __init__(self, guidelines: Sequence[Guideline], param: str):
+        first: Dict[float, Guideline] = {}
+        for g in guidelines:
+            first.setdefault(g.params[param], g)
+        self.values = sorted(first)
+        self.guidelines = [first[v] for v in self.values]
+
+    def __bool__(self) -> bool:
+        return bool(self.values)
+
+    def at_least(self, value) -> Optional[Guideline]:
+        """The guideline of the highest threshold ``t <= value``."""
+        i = bisect_right(self.values, value)
+        return self.guidelines[i - 1] if i else None
+
+    def highest_below(self, value) -> Optional[Guideline]:
+        """The guideline of the highest threshold ``t < value``."""
+        i = bisect_left(self.values, value)
+        return self.guidelines[i - 1] if i else None
+
+    def lowest_above(self, value) -> Optional[Guideline]:
+        """The guideline of the lowest threshold ``t > value``."""
+        i = bisect_right(self.values, value)
+        return self.guidelines[i] if i < len(self.values) else None
+
+
+def _neighbour_counter(vias: Sequence[Via]):
+    """``count(x, y, r)``: vias within Chebyshev radius *r*, less one.
+
+    A summed-area table over the vias' bounding box answers each window
+    in constant time; the one subtracted is the via at the centre.
+    """
+    x0 = min(v.x for v in vias)
+    y0 = min(v.y for v in vias)
+    width = max(v.x for v in vias) - x0 + 1
+    height = max(v.y for v in vias) - y0 + 1
+    # table[j][i] = number of vias with local row < j and column < i.
+    table = [[0] * (width + 1) for _ in range(height + 1)]
+    for v in vias:
+        table[v.y - y0 + 1][v.x - x0 + 1] += 1
+    for j in range(1, height + 1):
+        above, row = table[j - 1], table[j]
+        run = 0
+        for i in range(1, width + 1):
+            run += row[i]
+            row[i] = above[i] + run
+
+    def count(x: int, y: int, r: int) -> int:
+        xa, xb = max(x - r - x0, 0), min(x + r - x0, width - 1) + 1
+        ya, yb = max(y - r - y0, 0), min(y + r - y0, height - 1) + 1
+        lo, hi = table[ya], table[yb]
+        return hi[xb] - hi[xa] - lo[xb] + lo[xa] - 1
+
+    return count
+
+
+def _longest_first(
+    by_line: Dict[int, List[RouteSegment]], horizontal: bool
+) -> Dict[int, List[Tuple[int, int, int, str]]]:
+    """Per track line, ``(length, lo - 1, hi + 1, net)`` of each segment.
+
+    Longest first; segments of equal length keep layout order.
+    """
+    out: Dict[int, List[Tuple[int, int, int, str]]] = {}
+    for line, segs in by_line.items():
+        if horizontal:
+            runs = [(s.length, s.x1 - 1, s.x2 + 1, s.net) for s in segs]
+        else:
+            runs = [(s.length, s.y1 - 1, s.y2 + 1, s.net) for s in segs]
+        runs.sort(key=lambda run: -run[0])
+        out[line] = runs
+    return out
 
 
 def _foreign_metal(
     via: Via,
-    h_by_row: Dict[int, List[RouteSegment]],
-    v_by_col: Dict[int, List[RouteSegment]],
+    h_runs: Dict[int, List[Tuple[int, int, int, str]]],
+    v_runs: Dict[int, List[Tuple[int, int, int, str]]],
 ) -> Tuple[int, Optional[str]]:
-    """Longest other-net segment on the via's upper layer within 1 track."""
-    best_len, best_net = 0, None
+    """Longest other-net segment on the via's upper layer within 1 track.
+
+    On equal lengths the first one met wins, scanning the three track
+    lines in ascending order and each line in layout order.
+    """
     if via.upper == M2:
-        for y in (via.y - 1, via.y, via.y + 1):
-            for seg in h_by_row.get(y, ()):
-                if seg.net == via.net:
-                    continue
-                if seg.x1 - 1 <= via.x <= seg.x2 + 1 and seg.length > best_len:
-                    best_len, best_net = seg.length, seg.net
+        runs, line, pos = h_runs, via.y, via.x
     else:
-        for x in (via.x - 1, via.x, via.x + 1):
-            for seg in v_by_col.get(x, ()):
-                if seg.net == via.net:
-                    continue
-                if seg.y1 - 1 <= via.y <= seg.y2 + 1 and seg.length > best_len:
-                    best_len, best_net = seg.length, seg.net
+        runs, line, pos = v_runs, via.x, via.y
+    best_len, best_net = 0, None
+    for at in (line - 1, line, line + 1):
+        for length, lo, hi, net in runs.get(at, ()):
+            if length <= best_len:
+                break
+            if lo <= pos <= hi and net != via.net:
+                best_len, best_net = length, net
+                break
     return best_len, best_net
 
 
@@ -225,17 +260,21 @@ def _parallel_pairs(
     overlap; sub-tracks within a channel must differ by at most 1 for the
     nets to be adjacent.
     """
+    sub_h = {net: subtrack(net, True)
+             for net in {s.net for segs in h_by_row.values() for s in segs}}
+    sub_v = {net: subtrack(net, False)
+             for net in {s.net for segs in v_by_col.values() for s in segs}}
     for y, segs in sorted(h_by_row.items()):
         best: Dict[Tuple[str, str], Tuple[int, Tuple[int, int]]] = {}
         ordered = sorted(segs, key=lambda s: (s.x1, s.x2, s.net))
         for i, a in enumerate(ordered):
-            sa = subtrack(a.net, True)
+            sa = sub_h[a.net]
             for b in ordered[i + 1:]:
                 if b.x1 > a.x2:
                     break
                 if b.net == a.net:
                     continue
-                if abs(subtrack(b.net, True) - sa) > 1:
+                if abs(sub_h[b.net] - sa) > 1:
                     continue
                 overlap = min(a.x2, b.x2) - b.x1
                 if overlap <= 0:
@@ -249,13 +288,13 @@ def _parallel_pairs(
         best = {}
         ordered = sorted(segs, key=lambda s: (s.y1, s.y2, s.net))
         for i, a in enumerate(ordered):
-            sa = subtrack(a.net, False)
+            sa = sub_v[a.net]
             for b in ordered[i + 1:]:
                 if b.y1 > a.y2:
                     break
                 if b.net == a.net:
                     continue
-                if abs(subtrack(b.net, False) - sa) > 1:
+                if abs(sub_v[b.net] - sa) > 1:
                     continue
                 overlap = min(a.y2, b.y2) - b.y1
                 if overlap <= 0:
@@ -267,40 +306,90 @@ def _parallel_pairs(
             yield (na, nb), overlap, loc
 
 
-def _crossings(
-    seg: RouteSegment,
-    h_by_row: Dict[int, List[RouteSegment]],
-    v_by_col: Dict[int, List[RouteSegment]],
-) -> int:
-    """Number of foreign orthogonal segments crossing *seg*."""
-    count = 0
-    if seg.horizontal:
-        for x in range(seg.x1, seg.x2 + 1):
-            for other in v_by_col.get(x, ()):
-                if other.net != seg.net and other.y1 <= seg.y1 <= other.y2:
-                    count += 1
-    else:
-        for y in range(seg.y1, seg.y2 + 1):
-            for other in h_by_row.get(y, ()):
-                if other.net != seg.net and other.x1 <= seg.x1 <= other.x2:
-                    count += 1
-    return count
+def _crossings(segments: Sequence[RouteSegment]) -> List[int]:
+    """Per segment, the number of foreign orthogonal segments crossing it.
+
+    A horizontal segment on row y spanning [x1, x2] is crossed by every
+    vertical segment whose column lies in the span and whose rows cover
+    y (and symmetrically for vertical segments).  Coverage of each layer
+    is spread over a grid of the segments' bounding box, prefix-summed
+    along the crossing line, so each segment's total is two lookups; the
+    segment's own-net crossings are then subtracted.
+    """
+    if not segments:
+        return []
+    x0 = min(min(s.x1, s.x2) for s in segments)
+    y0 = min(min(s.y1, s.y2) for s in segments)
+    width = max(max(s.x1, s.x2) for s in segments) - x0 + 1
+    height = max(max(s.y1, s.y2) for s in segments) - y0 + 1
+    # Difference arrays: horizontal coverage along each row, vertical
+    # coverage down each column.
+    h_diff = [[0] * (width + 1) for _ in range(height)]
+    v_diff = [[0] * width for _ in range(height + 1)]
+    h_own: Dict[str, List[Tuple[int, int, int]]] = {}
+    v_own: Dict[str, List[Tuple[int, int, int]]] = {}
+    for s in segments:
+        if s.horizontal:
+            if s.x1 <= s.x2:
+                row = h_diff[s.y1 - y0]
+                row[s.x1 - x0] += 1
+                row[s.x2 - x0 + 1] -= 1
+                h_own.setdefault(s.net, []).append((s.y1, s.x1, s.x2))
+        elif s.y1 <= s.y2:
+            v_diff[s.y1 - y0][s.x1 - x0] += 1
+            v_diff[s.y2 - y0 + 1][s.x1 - x0] -= 1
+            v_own.setdefault(s.net, []).append((s.x1, s.y1, s.y2))
+    # v_along_row[j][i]: vertical segments covering row j in columns < i.
+    # h_down_col[j][i]: horizontal segments covering column i in rows < j.
+    v_along_row: List[List[int]] = []
+    h_down_col: List[List[int]] = [[0] * width]
+    v_cov = [0] * width
+    for j in range(height):
+        v_cov = [c + d for c, d in zip(v_cov, v_diff[j])]
+        v_along_row.append(list(accumulate(v_cov, initial=0)))
+        h_cov = accumulate(h_diff[j])
+        h_down_col.append([c + d for c, d in zip(h_down_col[j], h_cov)])
+    counts: List[int] = []
+    for s in segments:
+        if s.horizontal:
+            if s.x1 > s.x2:
+                counts.append(0)
+                continue
+            line = v_along_row[s.y1 - y0]
+            total = line[s.x2 - x0 + 1] - line[s.x1 - x0]
+            y = s.y1
+            own = sum(1 for x, lo, hi in v_own.get(s.net, ())
+                      if s.x1 <= x <= s.x2 and lo <= y <= hi)
+        else:
+            if s.y1 > s.y2:
+                counts.append(0)
+                continue
+            i = s.x1 - x0
+            total = h_down_col[s.y2 - y0 + 1][i] - h_down_col[s.y1 - y0][i]
+            x = s.x1
+            own = sum(1 for y, lo, hi in h_own.get(s.net, ())
+                      if s.y1 <= y <= s.y2 and lo <= x <= hi)
+        counts.append(total - own)
+    return counts
 
 
 def _windows(layout: Layout, w: int) -> Dict[Tuple[int, int], Dict[str, int]]:
-    """Per-window wirelength by net, tiling the die with w x w windows."""
+    """Per-window wirelength by net, tiling the die with w x w windows.
+
+    Windows are keyed in the order a left-to-right (bottom-to-top) walk
+    along each segment first touches them.
+    """
     out: Dict[Tuple[int, int], Dict[str, int]] = {}
     for seg in layout.segments:
         if seg.horizontal:
-            y = seg.y1
-            for x in range(seg.x1, seg.x2 + 1):
-                key = (x // w, y // w)
-                bucket = out.setdefault(key, {})
-                bucket[seg.net] = bucket.get(seg.net, 0) + 1
+            lo, hi, fixed = seg.x1, seg.x2, seg.y1 // w
         else:
-            x = seg.x1
-            for y in range(seg.y1, seg.y2 + 1):
-                key = (x // w, y // w)
-                bucket = out.setdefault(key, {})
-                bucket[seg.net] = bucket.get(seg.net, 0) + 1
+            lo, hi, fixed = seg.y1, seg.y2, seg.x1 // w
+        if lo > hi:
+            continue
+        for k in range(lo // w, hi // w + 1):
+            run = min(hi, k * w + w - 1) - max(lo, k * w) + 1
+            key = (k, fixed) if seg.horizontal else (fixed, k)
+            bucket = out.setdefault(key, {})
+            bucket[seg.net] = bucket.get(seg.net, 0) + run
     return out

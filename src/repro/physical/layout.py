@@ -83,6 +83,17 @@ class Layout:
         """Total routed wirelength of *net* in tracks."""
         return sum(s.length for s in self.segments if s.net == net)
 
+    def net_lengths(self) -> Dict[str, int]:
+        """Routed wirelength of every net with segments, in one pass.
+
+        Computed on each call: ``segments`` is a plain list that callers
+        may extend directly, so no result is kept on the layout.
+        """
+        lengths: Dict[str, int] = {}
+        for s in self.segments:
+            lengths[s.net] = lengths.get(s.net, 0) + s.length
+        return lengths
+
     def wirelength(self) -> int:
         """Total routed wirelength of the design."""
         return sum(s.length for s in self.segments)

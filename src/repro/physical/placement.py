@@ -4,14 +4,16 @@ Gates are assigned to rows in topological order (snaking across the die so
 connected logic lands close together), then a seeded simulated-annealing
 pass swaps gates / relocates gates between rows to reduce half-perimeter
 wirelength.  Exact x coordinates come from packing each row left to right
-with even spreading; the annealer uses those positions, refreshing the
-affected rows after every accepted move.
+with even spreading.  The annealer scores every trial swap on those
+positions: swapping two equal-width gates exchanges their positions,
+any other swap repacks the two rows, and a rejected swap puts the saved
+positions back.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Mapping
 
 from repro.library.cell import StandardCell
 from repro.netlist.circuit import CONST0, CONST1, Circuit
@@ -69,87 +71,103 @@ def place(
         rows[row].append(gname)
         row_fill[row] += w
 
-    positions: Dict[str, Tuple[int, int]] = {}
+    # Pin point of each gate (cell-centre track, row), and of each PI
+    # under the key ``(net,)``, which no gate name can collide with.
+    pin_x: Dict[object, int] = {}
+    pin_y: Dict[object, int] = {}
+    half = {g: w // 2 for g, w in widths.items()}
 
     def repack_row(r: int) -> None:
         """Recompute x positions of row *r*, spreading slack evenly."""
         gs = rows[r]
-        used = sum(widths[g] for g in gs)
-        slack = floorplan.width - used
+        slack = floorplan.width - row_fill[r]
         gap = slack // (len(gs) + 1) if gs else 0
         x = gap
         for g in gs:
-            positions[g] = (x, r)
+            pin_x[g] = x + half[g]
+            pin_y[g] = r
             x += widths[g] + gap
 
     for r in range(floorplan.rows):
         repack_row(r)
 
-    # --- pin position helpers ------------------------------------------
+    # --- net pins, built once -------------------------------------------
     # PIs sit on the die's left edge, evenly spread; constants are local.
-    pi_pos: Dict[str, Tuple[int, int]] = {}
     n_pi = max(1, len(circuit.inputs))
     for i, pi in enumerate(circuit.inputs):
-        pi_pos[pi] = (0, (i * floorplan.rows) // n_pi)
+        pin_x[(pi,)] = 0
+        pin_y[(pi,)] = (i * floorplan.rows) // n_pi
 
-    def net_pins(net: str) -> List[Tuple[int, int]]:
-        pins: List[Tuple[int, int]] = []
-        drv = circuit.driver(net)
-        if drv is not None:
-            x, y = positions[drv]
-            pins.append((x + widths[drv] // 2, y))
-        elif net in pi_pos:
-            pins.append(pi_pos[net])
-        for gname, _pin in circuit.loads(net):
-            x, y = positions[gname]
-            pins.append((x + widths[gname] // 2, y))
-        return pins
-
-    def net_hpwl(net: str) -> int:
-        pins = net_pins(net)
-        if len(pins) < 2:
-            return 0
-        xs = [p[0] for p in pins]
-        ys = [p[1] for p in pins]
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-    def gate_nets(gname: str) -> List[str]:
+    # Per net, the pins it connects: its driver gate or PI, then its
+    # loading gates.  Nets with fewer than two pins have no wirelength
+    # and are left out of every gate's net set.
+    names = list(circuit.gates)
+    net_pins: Dict[str, List[object]] = {}
+    nets_of: Dict[str, FrozenSet[str]] = {}
+    for gname in names:
         g = circuit.gates[gname]
         nets = [n for n in g.pins.values() if n not in (CONST0, CONST1)]
         nets.append(g.output)
-        return nets
+        for net in nets:
+            if net not in net_pins:
+                drv = circuit.driver(net)
+                if drv is not None:
+                    pins: List[object] = [drv]
+                elif (net,) in pin_x:
+                    pins = [(net,)]
+                else:
+                    pins = []
+                pins.extend(
+                    sorted({load for load, _pin in circuit.loads(net)}))
+                net_pins[net] = pins
+        nets_of[gname] = frozenset(n for n in nets if len(net_pins[n]) > 1)
+
+    def net_hpwl(net: str) -> int:
+        pins = net_pins[net]
+        xs = [pin_x[p] for p in pins]
+        ys = [pin_y[p] for p in pins]
+        return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
     # --- annealing refinement ------------------------------------------
     rng = make_rng(seed)
-    names = list(circuit.gates)
     if len(names) >= 2 and effort > 0:
         iters = effort * 12 * len(names)
         temp = max(2.0, floorplan.width / 4.0)
         cooling = math.exp(math.log(0.05 / temp) / max(1, iters))
         row_of = {g: r for r in range(floorplan.rows) for g in rows[r]}
+        slot = {g: i for r in range(floorplan.rows)
+                for i, g in enumerate(rows[r])}
         for _ in range(iters):
             a = rng.choice(names)
             b = rng.choice(names)
             if a == b:
                 continue
             ra, rb = row_of[a], row_of[b]
-            if ra == rb and widths[a] != widths[b]:
+            wa, wb = widths[a], widths[b]
+            if ra == rb and wa != wb:
                 continue  # same-row unequal swap would shift neighbours
             if ra != rb:
                 # Capacity check for cross-row swap.
-                if (row_fill[ra] - widths[a] + widths[b] > floorplan.width or
-                        row_fill[rb] - widths[b] + widths[a] > floorplan.width):
+                if (row_fill[ra] - wa + wb > floorplan.width or
+                        row_fill[rb] - wb + wa > floorplan.width):
                     continue
-            nets = set(gate_nets(a)) | set(gate_nets(b))
+            nets = nets_of[a] | nets_of[b]
             before = sum(net_hpwl(n) for n in nets)
-            ia, ib = rows[ra].index(a), rows[rb].index(b)
+            ia, ib = slot[a], slot[b]
             rows[ra][ia], rows[rb][ib] = b, a
             row_of[a], row_of[b] = rb, ra
-            if ra != rb:
-                row_fill[ra] += widths[b] - widths[a]
-                row_fill[rb] += widths[a] - widths[b]
-            repack_row(ra)
-            if rb != ra:
+            slot[a], slot[b] = ib, ia
+            if wa == wb:
+                # Every other gate keeps its x; the two trade places.
+                pin_x[a], pin_x[b] = pin_x[b], pin_x[a]
+                pin_y[a], pin_y[b] = pin_y[b], pin_y[a]
+                saved = None
+            else:
+                saved = [(g, pin_x[g], pin_y[g])
+                         for g in rows[ra] + rows[rb]]
+                row_fill[ra] += wb - wa
+                row_fill[rb] += wa - wb
+                repack_row(ra)
                 repack_row(rb)
             after = sum(net_hpwl(n) for n in nets)
             delta = after - before
@@ -158,20 +176,24 @@ def place(
             else:  # revert
                 rows[ra][ia], rows[rb][ib] = a, b
                 row_of[a], row_of[b] = ra, rb
-                if ra != rb:
-                    row_fill[ra] += widths[a] - widths[b]
-                    row_fill[rb] += widths[b] - widths[a]
-                repack_row(ra)
-                if rb != ra:
-                    repack_row(rb)
+                slot[a], slot[b] = ia, ib
+                if saved is None:
+                    pin_x[a], pin_x[b] = pin_x[b], pin_x[a]
+                    pin_y[a], pin_y[b] = pin_y[b], pin_y[a]
+                else:
+                    row_fill[ra] += wa - wb
+                    row_fill[rb] += wb - wa
+                    for g, x, y in saved:
+                        pin_x[g] = x
+                        pin_y[g] = y
             temp *= cooling
 
     layout = Layout(die_width=floorplan.width, die_rows=floorplan.rows)
     for gname in names:
-        x, y = positions[gname]
         layout.gates[gname] = PlacedGate(
             name=gname, cell=circuit.gates[gname].cell,
-            x=x, y=y, width=widths[gname],
+            x=pin_x[gname] - half[gname], y=pin_y[gname],
+            width=widths[gname],
         )
     problems = layout.check_legal()
     if problems:

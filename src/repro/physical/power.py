@@ -58,12 +58,13 @@ def power_analysis(
 ) -> PowerReport:
     """Total power of the placed-and-routed design."""
     probs = signal_probabilities(circuit, cells, seed=seed)
+    lengths = layout.net_lengths() if layout is not None else None
     dynamic = 0.0
     for net, p in probs.items():
         if net in (CONST0, CONST1):
             continue
         activity = 2.0 * p * (1.0 - p)
-        cap = net_load_cap(circuit, cells, layout, net)
+        cap = net_load_cap(circuit, cells, lengths, net)
         drv = circuit.driver(net)
         if drv is not None:
             # Include the driving cell's own output capacitance proxy.

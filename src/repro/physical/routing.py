@@ -19,12 +19,10 @@ from typing import Dict, List, Mapping, Tuple
 from repro.library.cell import StandardCell
 from repro.netlist.circuit import CONST0, CONST1, Circuit
 from repro.physical.layout import M2, M3, Layout, RouteSegment, Via
+from repro.utils.hashing import stable_hash as _stable_hash
 
 #: Routing sub-tracks available per row channel / column.
 CHANNEL_TRACKS = 7
-
-
-from repro.utils.hashing import stable_hash as _stable_hash
 
 
 def subtrack(net: str, horizontal: bool) -> int:

@@ -33,17 +33,21 @@ class TimingReport:
 def net_load_cap(
     circuit: Circuit,
     cells: Mapping[str, StandardCell],
-    layout: Optional[Layout],
+    net_lengths: Optional[Mapping[str, int]],
     net: str,
 ) -> float:
-    """Total capacitive load on *net*: sink pins + wire + PO pad."""
+    """Total capacitive load on *net*: sink pins + wire + PO pad.
+
+    *net_lengths* is :meth:`Layout.net_lengths` of the routed layout, or
+    ``None`` before routing (no wire load).
+    """
     cap = 0.0
     # Sorted: loads() iteration order is salted per process, and float
     # accumulation order must not leak into timing numbers.
     for gname, pin in sorted(circuit.loads(net)):
         cap += cells[circuit.gates[gname].cell].input_cap
-    if layout is not None:
-        cap += WIRE_CAP_PER_TRACK * layout.net_length(net)
+    if net_lengths is not None:
+        cap += WIRE_CAP_PER_TRACK * net_lengths.get(net, 0)
     if net in circuit.outputs:
         cap += PO_LOAD_CAP
     return cap
@@ -60,13 +64,14 @@ def static_timing(
     for pi in circuit.inputs:
         arrival[pi] = 0.0
         from_gate[pi] = None
+    lengths = layout.net_lengths() if layout is not None else None
     for gname in circuit.topo_order():
         gate = circuit.gates[gname]
         cell = cells[gate.cell]
         in_arr = 0.0
         for net in gate.pins.values():
             in_arr = max(in_arr, arrival[net])
-        load = net_load_cap(circuit, cells, layout, gate.output)
+        load = net_load_cap(circuit, cells, lengths, gate.output)
         arrival[gate.output] = in_arr + cell.intrinsic_delay + cell.drive_res * load
         from_gate[gate.output] = gname
     worst_net, worst = None, 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.physical import (
@@ -15,7 +17,8 @@ from repro.physical import (
 )
 from repro.physical.floorplan import cell_tracks, total_tracks
 from repro.physical.placement import PlacementError
-from repro.physical.layout import M2, M3
+from repro.physical.layout import M2, M3, Layout, RouteSegment
+from repro.physical.timing import PO_LOAD_CAP, WIRE_CAP_PER_TRACK, net_load_cap
 from tests.conftest import random_mapped_circuit
 
 
@@ -174,3 +177,127 @@ class TestPDesign:
         )
         assert not worse.meets_constraints(pd, q_percent=5)
         assert worse.meets_constraints(pd, q_percent=25)
+
+
+class TestNetLengths:
+    def test_agree_with_per_net_sum_after_append(self, placed, circuit_mod):
+        _fp, routed = placed
+        layout = Layout(routed.die_width, routed.die_rows,
+                        gates=dict(routed.gates),
+                        segments=list(routed.segments),
+                        vias=list(routed.vias))
+        before = layout.net_lengths()
+        some_net = layout.segments[0].net
+        layout.segments.append(RouteSegment(some_net, M2, 0, 0, 5, 0))
+        layout.segments.append(RouteSegment("extra", M3, 2, 0, 2, 3))
+        lengths = layout.net_lengths()
+        assert lengths[some_net] == before[some_net] + 5
+        assert lengths["extra"] == 3
+        expected = {}
+        for seg in layout.segments:
+            expected[seg.net] = expected.get(seg.net, 0) + seg.length
+        assert lengths == expected
+        for net in set(expected) | circuit_mod.nets():
+            assert layout.net_length(net) == expected.get(net, 0)
+        assert sum(lengths.values()) == layout.wirelength()
+
+    def test_net_load_cap_unchanged(self, cells_mod):
+        from repro.bench import build_benchmark
+        from repro.library import osu018_library
+
+        circuit = build_benchmark("sparc_tlu", osu018_library())
+        layout = place(circuit, cells_mod,
+                       make_floorplan(circuit, cells_mod), seed=0)
+        route(circuit, cells_mod, layout)
+        lengths = layout.net_lengths()
+        for net in sorted(circuit.nets()):
+            for lay, lens in ((layout, lengths), (None, None)):
+                # The load as computed before the lengths were passed in:
+                # pin caps in sorted order, then a per-net segment scan.
+                cap = 0.0
+                for gname, _pin in sorted(circuit.loads(net)):
+                    cap += cells_mod[circuit.gates[gname].cell].input_cap
+                if lay is not None:
+                    cap += WIRE_CAP_PER_TRACK * lay.net_length(net)
+                if net in circuit.outputs:
+                    cap += PO_LOAD_CAP
+                assert net_load_cap(circuit, cells_mod, lens, net) == cap
+            # A net without segments carries no wire load.
+            assert net_load_cap(circuit, cells_mod, {}, net) == \
+                net_load_cap(circuit, cells_mod, None, net)
+
+
+def physical_digest(circuit, library, seed):
+    """sha256 over everything PDesign and the DFM fault extraction emit.
+
+    Covers the placement, the ordered route segments and vias, the
+    ordered violation list, the ordered fault ids, and the exact delay,
+    critical path and power floats.
+    """
+    from repro.dfm import build_fault_set, check_layout
+
+    cells = {c.name: c for c in library}
+    pd = pdesign(circuit, cells, seed=seed)
+    layout = pd.layout
+    violations = check_layout(layout)
+    faults = build_fault_set(circuit, library, layout)
+    record = (
+        sorted((g.name, g.cell, g.x, g.y, g.width)
+               for g in layout.gates.values()),
+        [(s.net, s.layer, s.x1, s.y1, s.x2, s.y2) for s in layout.segments],
+        [(v.net, v.x, v.y, v.lower, v.upper, v.owner) for v in layout.vias],
+        [(v.guideline, v.kind, v.net, v.other_net, v.location, v.owner)
+         for v in violations],
+        [f.fault_id for f in faults],
+        repr(pd.delay), pd.timing.critical_path,
+        repr(pd.power.dynamic), repr(pd.power.leakage),
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+# Digests recorded before the placement, net-length and DFM checker
+# speed-ups; those rewrites must leave every output byte-identical.
+GOLDEN_DIGESTS = {
+    ("sparc_tlu", 0):
+        "95b457ace0634e3cb7d5b1bdc7bb0938d21ae1e18e1cb5304cc1b7391105cfcb",
+    ("sparc_tlu", 1):
+        "b3b05e6e8c9e88fd013072434edd709d828af763122ed95b75a6e11a700bf907",
+    ("sparc_tlu", 2):
+        "368f20c683d2ff63e14c94129abcd2e416b3f4227402fc95cf03596ded9a803f",
+    ("wb_conmax", 0):
+        "400f5ae5f591adaf21321ceafc87aed34bdd2791adbe86e7f99ccccf3164e85e",
+    ("wb_conmax", 1):
+        "f894d31eb9ccb06c4d4aed10f5afd229fcd0f49e931044154d9dbad5a9ee3a7c",
+    ("wb_conmax", 2):
+        "bcfcd9dc1cd9efd1a57a3d07704d435ace608ae16eee424f9ca61c8882c85092",
+    ("aes_core", 0):
+        "2ce85251422a21c7f353005ffb5f70a7603292e6d393c6b6445ee0561281c2f3",
+    ("aes_core", 1):
+        "f99537c9c0c539dde990a783dff1e80e62642cc9d9ee91850c27c9b49eb29c6d",
+    ("aes_core", 2):
+        "6db37ec446195c993fe03fec21688d98ba439aeab1f933d0b86acea7f4bfea92",
+    ("c17", 0):
+        "e2c08a1450c574b06fa34d987ac6564c3e0a918a284b892ec7f8fa699e599351",
+    ("alu8", 0):
+        "ff01403cc014aadd378fd3a67bc65a636534b274d9ce83618a874c01a5cb38c8",
+}
+
+
+class TestGoldenIdentity:
+    @pytest.mark.parametrize("name", ["sparc_tlu", "wb_conmax", "aes_core"])
+    def test_bench_circuits(self, name, library):
+        from repro.bench import build_benchmark
+
+        circuit = build_benchmark(name, library)
+        for seed in (0, 1, 2):
+            assert physical_digest(circuit, library, seed) == \
+                GOLDEN_DIGESTS[(name, seed)], (name, seed)
+
+    @pytest.mark.parametrize("name", ["c17", "alu8"])
+    def test_bundled_netlists(self, name, library, cells):
+        from repro.netlist import Circuit
+        from repro.netlist.ingest import bundled_path
+
+        circuit = Circuit.from_file(bundled_path(name), cells=cells)
+        assert physical_digest(circuit, library, 0) == \
+            GOLDEN_DIGESTS[(name, 0)]
