@@ -55,7 +55,6 @@ from repro.netlist.vsim import (
     BACKEND_EVENT,
     EXEC_PROCESS,
     batch_capacity,
-    resolve_atpg_exec,
     resolve_backend,
     resolve_exec,
     resolve_workers,
@@ -186,10 +185,10 @@ def run_atpg(
     keys (the changed region's cone) are re-proved.
 
     *workers* > 1 fault-partitions every fault-simulation batch the
-    driver runs; *exec_mode* selects how (``"thread"`` pools,
-    ``"process"`` workers over shared-memory arrays, ``"auto"`` —
-    threads for the event backend, processes for the wide backend — or
-    ``"serial"``; see :func:`repro.faults.fsim.fault_simulate`).  Both
+    driver runs; *exec_mode* selects how (``"process"`` workers over
+    shared-memory arrays, ``"auto"`` — serial for the event backend,
+    processes for the wide backend — or ``"serial"``; see
+    :func:`repro.faults.fsim.fault_simulate`).  Both
     default to the ``REPRO_SIM_WORKERS`` / ``REPRO_SIM_EXEC``
     environment.  The classification and test set are bit-identical to
     a serial run with the same seed in every mode.  Engine effort
@@ -198,10 +197,9 @@ def run_atpg(
 
     Under ``exec_mode="process"`` with ``workers > 1`` the deterministic
     SAT phase itself is additionally sharded site-cohesively across
-    worker processes (:mod:`repro.atpg.patpg`).  The SAT phase reads its
-    own ``REPRO_ATPG_EXEC`` environment knob, defaulting to
-    ``REPRO_SIM_EXEC``, when *exec_mode* is not given; ``auto`` keeps
-    the phase serial (opt-in parallelism).  The
+    worker processes (:mod:`repro.atpg.patpg`); the same setting, or
+    ``REPRO_SIM_EXEC`` when *exec_mode* is not given, decides.  ``auto``
+    keeps the phase serial (opt-in parallelism).  The
     DETECTED/UNDETECTABLE/ABORTED partition is unchanged by sharding —
     exact SAT decisions are schedule-independent — though the generated
     (pre-compaction) test *set* may differ from the serial one.  Any
@@ -215,10 +213,6 @@ def run_atpg(
     # capacity (explicit validation instead of silent truncation).
     backend = resolve_backend(backend)
     workers = resolve_workers(workers)
-    # The SAT phase has its own knob (REPRO_ATPG_EXEC, defaulting to
-    # REPRO_SIM_EXEC); resolve it from the *caller's* argument before
-    # the simulation default overwrites it.
-    atpg_exec = resolve_atpg_exec(exec_mode)
     exec_mode = resolve_exec(exec_mode)
     capacity = batch_capacity(backend)
     if batch_size is None:
@@ -332,7 +326,7 @@ def run_atpg(
     sat_start = time.perf_counter()
     par_outcome = None
     if (
-        atpg_exec == EXEC_PROCESS
+        exec_mode == EXEC_PROCESS
         and workers > 1
         and len(remaining) >= MIN_PARALLEL_SAT_FAULTS
     ):

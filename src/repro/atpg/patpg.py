@@ -242,7 +242,7 @@ def site_shards(
     shard's engine encodes (and retires) every site cone exactly once —
     splitting a site would duplicate its cone encoding across workers
     and break the single-active-cone scan the engine relies on.  Site
-    groups are LPT-assigned by summed cone cost (the thread/process
+    groups are LPT-assigned by summed cone cost (the process
     fault-sim partitioner's cost model) and each shard is sorted by
     ``(site, fault_id)``, the serial phase's scan order.  Deterministic:
     no randomness, ties broken by site key then shard index.

@@ -212,9 +212,9 @@ def analyze_design(
     the assume sets and its tests the initial test set, so the internal
     ATPG work is not repeated.
 
-    *workers* > 1 parallelizes the fault-simulation batches inside ATPG
-    and *exec_mode* selects how — thread pools, shared-memory process
-    workers, or serial (defaults: ``REPRO_SIM_WORKERS`` /
+    *workers* > 1 parallelizes the fault-simulation batches and SAT
+    phase inside ATPG and *exec_mode* selects how — shared-memory
+    process workers, or serial (defaults: ``REPRO_SIM_WORKERS`` /
     ``REPRO_SIM_EXEC``; results stay bit-identical to a serial run in
     every mode).  Per-stage wall times
     land in ``DesignState.timings``; engine counters in

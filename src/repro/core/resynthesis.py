@@ -90,9 +90,10 @@ class ResynthesisConfig:
     # Performance knobs — none of these change any produced result
     # (accepted trace, verdicts, clusters); they only move work around.
     workers: int = 1  # fault-simulation workers inside the engine
-    # How fault-simulation batches execute at workers > 1: "thread",
-    # "process" (shared-memory multi-core, repro.faults.psim), "auto"
-    # or "serial"; None defers to REPRO_SIM_EXEC.
+    # How fault simulation and the ATPG SAT phase execute at
+    # workers > 1: "process" (shared-memory multi-core,
+    # repro.faults.psim), "auto" or "serial"; None defers to
+    # REPRO_SIM_EXEC.
     exec_mode: Optional[str] = None
     speculation: Optional[int] = None  # stage-1 evals in flight (None -> workers)
     incremental: bool = True  # cone-scoped incremental re-analysis

@@ -22,11 +22,11 @@ resolution, load lists) is hoisted into a cached
 :class:`~repro.netlist.simulator.CompiledCircuit` plan, nets are handled
 as dense integer indices, and good-machine values are served from a
 per-plan LRU so re-simulating a previously seen pattern batch skips the
-good simulation entirely.  ``workers=N`` fault-partitions a batch across
-a thread pool or — with ``exec_mode="process"`` / ``REPRO_SIM_EXEC`` —
-across shared-memory worker processes (:mod:`repro.faults.psim`); in
-both modes chunks are balanced by output-cone size and merged by fault
-index, so results are bit-identical to the serial path.
+good simulation entirely.  ``workers=N`` with ``exec_mode="process"``
+(or ``REPRO_SIM_EXEC``) fault-partitions a batch across shared-memory
+worker processes (:mod:`repro.faults.psim`); shards are balanced by
+output-cone size and merged by fault index, so results are
+bit-identical to the serial path.
 
 :func:`fault_simulate` is also the dispatch point for the *wide* numpy
 backend (:mod:`repro.faults.vfsim`): pass ``backend="wide"`` or set
@@ -37,7 +37,6 @@ backends for the same batch.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -54,12 +53,9 @@ from repro.library.defects import CellDefect
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulator import CompiledCircuit
 from repro.netlist.vsim import (
-    BACKEND_EVENT,
     BACKEND_WIDE,
     EXEC_AUTO,
     EXEC_PROCESS,
-    EXEC_SERIAL,
-    EXEC_THREAD,
     batch_capacity,
     resolve_backend,
     resolve_exec,
@@ -69,7 +65,7 @@ from repro.netlist.vsim import (
 from repro.utils.observability import EngineStats, warn_coded
 from repro.utils.rng import make_rng
 
-# Below this many faults the thread-pool dispatch overhead outweighs any
+# Below this many faults the process dispatch overhead outweighs any
 # win, so the serial path is used even when workers > 1.
 _MIN_PARALLEL_FAULTS = 8
 
@@ -138,9 +134,8 @@ class _SimContext:
     """One batch's good-machine values over a shared compiled plan.
 
     ``good1`` / ``good2`` are net-value vectors indexed by the plan's
-    dense net indices.  The context is read-only during propagation
-    except for the ``events`` counter, so worker threads operate on
-    cheap :meth:`fork` views that share the value vectors.
+    dense net indices.  ``scratch`` and ``inq`` are working state that
+    each propagation restores before it returns.
     """
 
     __slots__ = (
@@ -165,10 +160,6 @@ class _SimContext:
         # In-queue flags per gate; all zero between propagations.
         self.inq = bytearray(len(plan.gate_out))
         self.events = 0
-
-    def fork(self) -> "_SimContext":
-        """Per-worker view sharing the (read-only) good values."""
-        return _SimContext(self.plan, self.mask, self.good1, self.good2)
 
     def propagate(
         self, overrides: Dict[int, int], activation: int
@@ -420,9 +411,8 @@ def _partition_faults(
 
     Deterministic: faults are ordered by (cost desc, index asc) and each
     is assigned to the least-loaded chunk (ties broken by chunk id).
-    Shared by the thread path below and the process-parallel layer
-    (:mod:`repro.faults.psim`), so shard composition is identical in
-    both execution modes.
+    Used by the process-parallel layer (:mod:`repro.faults.psim`) to
+    compose its shards.
     """
     cone = plan.cone_sizes()
     costs: List[int] = []
@@ -468,43 +458,37 @@ def fault_simulate(
     partitioned (``None`` defers to ``REPRO_SIM_WORKERS`` /
     ``REPRO_SIM_EXEC``).  With ``workers > 1``:
 
-    * ``"thread"`` — the event backend fault-partitions across a thread
-      pool (chunks LPT-balanced by output-cone size; GIL-bound but
-      cheap to dispatch).  The wide backend has no thread path — a
-      coded ``MC-THREAD-WIDE`` warning is emitted and the batch runs
-      serial;
     * ``"process"`` — both backends shard across ``multiprocessing``
       workers that attach the batch's good-value arrays from a
       shared-memory block (:mod:`repro.faults.psim`).  If process
       execution is unavailable (no shared memory, unpicklable faults,
-      no usable start method) a coded warning is emitted and the batch
-      falls back to threads (event) or serial (wide) — never silently;
-    * ``"auto"`` (default) — threads for the event backend, processes
-      for the wide backend;
+      no usable start method) or a worker hangs past its retry, a coded
+      warning is emitted and the batch runs serial — never silently;
+    * ``"auto"`` (default) — processes for the wide backend, serial for
+      the event backend;
     * ``"serial"`` — force the serial path regardless of *workers*.
 
-    Every mode is bit-identical: shards/chunks are deterministic and
-    results are merged back by fault index.
+    Every mode is bit-identical: shards are deterministic and results
+    are merged back by fault index.
 
     Counter discipline: nothing records into the caller's *stats* while
-    workers run.  Every count lands in a private per-call instance
-    (thread and process workers count into their own chunk contexts,
-    whose totals are folded in at join, on the dispatching side), and
-    the per-call instance is merged into *stats* in one atomic step at
-    the end — so a shared EngineStats never loses increments, and the
-    semantic counters of a parallel run equal those of a serial run.
+    the batch runs.  Every count lands in a private per-call instance
+    (process workers stage their own deltas, folded in on the
+    dispatching side only after every shard succeeds), and that
+    instance is merged into *stats* in one step at the end — so a shared
+    EngineStats never loses increments, and the semantic counters of a
+    parallel run equal those of a serial run.
     """
     backend = resolve_backend(backend)
     workers = resolve_workers(workers)
     exec_mode = resolve_exec(exec_mode)
-    parallel_ok = (
+    want_process = (
         workers > 1
         and len(faults) >= max(_MIN_PARALLEL_FAULTS, workers)
-        and exec_mode != EXEC_SERIAL
-    )
-    want_process = parallel_ok and (
-        exec_mode == EXEC_PROCESS
-        or (exec_mode == EXEC_AUTO and backend == BACKEND_WIDE)
+        and (
+            exec_mode == EXEC_PROCESS
+            or (exec_mode == EXEC_AUTO and backend == BACKEND_WIDE)
+        )
     )
     if want_process:
         from repro.faults.psim import (
@@ -520,13 +504,12 @@ def fault_simulate(
             )
         except ProcessExecUnavailable as exc:
             # Graceful but *announced* degradation: the caller asked for
-            # (or auto-resolved to) processes and is getting threads or
-            # a serial pass instead.
-            fallback = "threads" if backend == BACKEND_EVENT else "serial"
+            # (or auto-resolved to) processes and is getting a serial
+            # pass instead.
             warn_coded(
                 stats, exc.code,
                 f"process execution unavailable ({exc}); "
-                f"falling back to {fallback}",
+                "falling back to serial",
             )
         except WorkerHungError as exc:
             # The supervisor reaped a hung worker twice (initial run
@@ -534,24 +517,13 @@ def fault_simulate(
             # staged counters are discarded — the fallback re-runs the
             # whole batch — so the supervision story is folded in from
             # the exception instead, keeping it observable.
-            fallback = "threads" if backend == BACKEND_EVENT else "serial"
             if stats is not None:
                 stats.hung_workers += exc.hung_workers
                 stats.shard_retries += exc.shard_retries
-            warn_coded(
-                stats, exc.code,
-                f"{exc}; falling back to {fallback}",
-            )
+            warn_coded(stats, exc.code, f"{exc}; falling back to serial")
     if backend == BACKEND_WIDE:
         from repro.faults.vfsim import wide_fault_simulate
 
-        if parallel_ok and exec_mode == EXEC_THREAD:
-            warn_coded(
-                stats, "MC-THREAD-WIDE",
-                "the wide backend has no thread path (vectorization "
-                "replaces fault-partitioned threading); running serial —"
-                " use exec_mode='process' for multi-core wide batches",
-            )
         return wide_fault_simulate(
             circuit, cells, faults, batch, stats=stats
         )
@@ -559,28 +531,8 @@ def fault_simulate(
     ctx = _make_context(circuit, cells, batch, stats=local)
     local.batches += 1
     local.faults_simulated += len(faults)
-    if not parallel_ok:
-        results = [_simulate_one(ctx, fault) for fault in faults]
-        local.events_propagated += ctx.events
-        if stats is not None:
-            stats.merge(local)
-        return results
-
-    chunks = _partition_faults(ctx.plan, faults, workers)
-    results: List[int] = [0] * len(faults)
+    results = [_simulate_one(ctx, fault) for fault in faults]
     local.events_propagated += ctx.events
-
-    def run_chunk(chunk: List[int]) -> Tuple[List[Tuple[int, int]], int]:
-        view = ctx.fork()
-        out = [(i, _simulate_one(view, faults[i])) for i in chunk]
-        return out, view.events
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for out, chunk_events in pool.map(run_chunk, chunks):
-            local.events_propagated += chunk_events
-            for i, word in out:
-                results[i] = word
-    local.parallel_chunks += len(chunks)
     if stats is not None:
         stats.merge(local)
     return results

@@ -1,10 +1,9 @@
 """Process-parallel fault sharding over shared-memory batch arrays.
 
-``workers=N`` threading (:mod:`repro.faults.fsim`) is GIL-bound: outside
-numpy segments, N threads simulate at roughly single-core speed.  This
-module is the true multi-core layer — the fault universe of one batch is
-LPT-partitioned (the same deterministic :func:`~repro.faults.fsim.
-_partition_faults` shards the thread path uses) across ``multiprocessing``
+Fault simulation runs under the GIL, so in-process threads simulate at
+roughly single-core speed.  This module is the multi-core layer — the
+fault universe of one batch is LPT-partitioned (deterministically, by
+:func:`~repro.faults.fsim._partition_faults`) across ``multiprocessing``
 worker processes, and the batch's good-value and pattern arrays are
 placed in a ``multiprocessing.shared_memory`` block so every worker
 attaches zero-copy instead of re-simulating the good machine or paying a
@@ -25,7 +24,7 @@ Execution model:
   plus an :class:`~repro.utils.observability.EngineStats` delta;
 * the parent merges detect words by fault index and folds the worker
   deltas into one per-call stats instance — exactly the serial
-  per-chunk merge discipline — so results and semantic counters are
+  per-call merge discipline — so results and semantic counters are
   bit-identical to a serial run.
 
 Nothing in a worker draws randomness: shard composition, merge order
@@ -44,7 +43,7 @@ Failure handling is explicit, never silent:
 * *unavailable* process execution (no shared memory, unpicklable
   faults, pool creation failure) raises :class:`ProcessExecUnavailable`,
   which :func:`~repro.faults.fsim.fault_simulate` turns into a coded
-  warning plus a thread/serial fallback;
+  warning plus a serial fallback;
 * a **worker death** mid-shard (SIGKILL, OOM) shuts the broken pool
   down, unlinks the shared block, and raises :class:`WorkerCrashError`
   — a clear error the runner's per-task retry machinery can retry;
@@ -167,7 +166,7 @@ def shm_supported() -> bool:
     :func:`shm_probe_error` so the eventual ``MC-FALLBACK-SHM`` warning
     says *why* process execution degraded.  Anything else (a typo-level
     ``TypeError``, a ``KeyboardInterrupt``) propagates: a probe bug must
-    not silently demote every run to threads.
+    not silently demote every run to serial.
     """
     global _SHM_PROBE, _SHM_PROBE_ERROR
     if _SHM_PROBE is None:
@@ -845,7 +844,7 @@ def _dispatch_shards(
                         local, CODE_SHARD_RETRY,
                         f"re-running {len(lost)} lost shard(s) on a "
                         f"fresh pool (one-shot retry before the "
-                        f"thread/serial fallback ladder)",
+                        "serial fallback)",
                     )
                     local.shard_retries += len(lost)
                     pool = _pool_for(circuit, cells, workers)

@@ -329,8 +329,8 @@ def wide_fault_simulate(
     batches (compaction chunks, inherited tests) stay cheap.
 
     The wide backend is single-threaded by design: vectorization over
-    the pattern dimension replaces the event backend's fault-partitioned
-    thread pool, so a ``workers`` knob would only add dispatch overhead.
+    the pattern dimension replaces in-process fault partitioning (multi-
+    core wide batches go through :mod:`repro.faults.psim`).
     Counters land on *stats* in one atomic merge, mirroring the event
     path's discipline.
     """

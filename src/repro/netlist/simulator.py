@@ -240,8 +240,8 @@ class CompiledCircuit:
         # keys).  Kept out of good_cache itself so cached values remain
         # plain frame tuples for every existing consumer.
         self.good_sums: Dict[tuple, Tuple[int, ...]] = {}
-        # Fault-partition worker threads (and concurrent candidate
-        # evaluations sharing one plan) all consult the LRU; OrderedDict
+        # Concurrent candidate evaluations and campaign tasks sharing
+        # one plan all consult the LRU; OrderedDict
         # get/move_to_end/popitem are not safe to interleave, so every
         # cache touch happens under this lock.  The good simulation
         # itself runs outside the lock.

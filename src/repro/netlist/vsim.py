@@ -26,10 +26,11 @@ Environment knobs:
 * ``REPRO_SIM_WORDS`` — wide batch capacity in 64-bit words (default 64);
 * ``REPRO_SIM_WORKERS`` — default fault-partition worker count for call
   sites that do not pass ``workers=`` explicitly (default 1);
-* ``REPRO_SIM_EXEC`` — default execution mode for ``workers > 1``:
-  ``serial`` / ``thread`` / ``process`` / ``auto`` (default ``auto``:
-  threads for the event backend, shared-memory processes for the wide
-  backend — see :mod:`repro.faults.psim`).
+* ``REPRO_SIM_EXEC`` — default execution mode for ``workers > 1``, for
+  fault simulation and the ATPG SAT phase alike: ``serial`` /
+  ``process`` / ``auto`` (default ``auto``: serial for the event
+  backend, shared-memory processes for the wide backend — see
+  :mod:`repro.faults.psim`).
 """
 
 from __future__ import annotations
@@ -71,10 +72,9 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 
 
 EXEC_SERIAL = "serial"
-EXEC_THREAD = "thread"
 EXEC_PROCESS = "process"
 EXEC_AUTO = "auto"
-_EXEC_MODES = (EXEC_SERIAL, EXEC_THREAD, EXEC_PROCESS, EXEC_AUTO)
+_EXEC_MODES = (EXEC_SERIAL, EXEC_PROCESS, EXEC_AUTO)
 
 
 def resolve_exec(exec_mode: Optional[str] = None) -> str:
@@ -87,33 +87,6 @@ def resolve_exec(exec_mode: Optional[str] = None) -> str:
     if exec_mode is None:
         exec_mode = (
             os.environ.get("REPRO_SIM_EXEC", "").strip() or EXEC_AUTO
-        )
-    if exec_mode not in _EXEC_MODES:
-        raise ValueError(
-            f"unknown execution mode {exec_mode!r}; "
-            f"expected one of {_EXEC_MODES}"
-        )
-    return exec_mode
-
-
-def resolve_atpg_exec(exec_mode: Optional[str] = None) -> str:
-    """Execution mode for the deterministic ATPG SAT phase.
-
-    An explicit *exec_mode* wins — it is the same value ``run_atpg``
-    hands its fault-simulation batches, so one argument steers the whole
-    run.  Otherwise ``REPRO_ATPG_EXEC`` decides, defaulting to
-    ``REPRO_SIM_EXEC`` (one env knob parallelizes everything) and
-    finally to ``auto``.  Note the SAT phase only shards across
-    processes under an explicit ``process`` mode: ``auto`` keeps it
-    serial, because unlike a simulation batch the phase's dispatch cost
-    (per-worker solver encodings) only pays off on real multi-core
-    hardware (see :mod:`repro.atpg.patpg`).
-    """
-    if exec_mode is None:
-        exec_mode = (
-            os.environ.get("REPRO_ATPG_EXEC", "").strip()
-            or os.environ.get("REPRO_SIM_EXEC", "").strip()
-            or EXEC_AUTO
         )
     if exec_mode not in _EXEC_MODES:
         raise ValueError(

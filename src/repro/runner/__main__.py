@@ -106,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--exec-mode", default=None,
-        choices=("serial", "thread", "process", "auto"),
-        help="how fault-simulation batches execute at workers > 1 "
-             "(default: REPRO_SIM_EXEC, falling back to auto)",
+        choices=("serial", "process", "auto"),
+        help="how fault simulation and the ATPG SAT phase execute at "
+             "workers > 1 (default: REPRO_SIM_EXEC, falling back to auto)",
     )
     run.add_argument(
         "--variants", type=_csv, default=("full",),

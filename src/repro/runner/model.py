@@ -27,8 +27,18 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 # Environment knobs that change what experiment tasks compute.  They are
 # folded into every fingerprint so a resume under different knobs
-# re-executes instead of serving stale cached results.
-ENV_KNOBS = ("REPRO_SCALE", "REPRO_QMAX", "REPRO_MAX_ITER")
+# re-executes instead of serving stale cached results.  The ATPG budget
+# knobs (read by AtpgBudget.from_env) decide which faults abort, so they
+# move the verdicts and the Aborted/U columns.
+ENV_KNOBS = (
+    "REPRO_SCALE",
+    "REPRO_QMAX",
+    "REPRO_MAX_ITER",
+    "REPRO_ATPG_DEADLINE_MS",
+    "REPRO_ATPG_CONFLICT_BUDGET",
+    "REPRO_ATPG_DECISION_BUDGET",
+    "REPRO_ATPG_ABORT_FRACTION",
+)
 
 # Knobs that change *how* tasks execute but never their results
 # (supervision deadlines, parallelism, chaos injection).  They are

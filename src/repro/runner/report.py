@@ -55,15 +55,14 @@ VOLATILE_KEYS = frozenset({
     "breaker_state",
     "sat_abort_reasons",
     "abort_reasons",
-    # Execution-shape counters: how the work was sliced across workers,
-    # threads, and shards.  A jobs=4 campaign under ledger-negotiated
+    # Execution-shape counters: how the work was sliced across workers
+    # and shards.  A jobs=4 campaign under ledger-negotiated
     # worker counts slices differently from a serial one, yet computes
     # bit-identical results — exactly what normalized comparison checks.
     "scheduler",
     "run_jobs",
     "ledger_grants",
     "ledger_workers",
-    "parallel_chunks",
     "proc_shards",
     "proc_workers",
     "shm_bytes",

@@ -77,9 +77,7 @@ class EngineStats:
       issued: one per gate evaluated during wide good simulation and
       dense cone propagation (the wide analogue of
       ``events_propagated``, which only the event backend records);
-    * ``parallel_chunks`` — work chunks dispatched to worker threads;
-    * ``proc_shards`` — fault shards dispatched to *process* workers
-      (the multi-core analogue of ``parallel_chunks``);
+    * ``proc_shards`` — fault shards dispatched to process workers;
     * ``proc_workers`` — widest process pool used, in workers (a
       high-water mark like ``words_per_batch``: merged by max);
     * ``shm_bytes`` — bytes of good-value/pattern arrays placed in
@@ -95,7 +93,7 @@ class EngineStats:
     * ``ledger_workers`` — widest ledger-granted pool seen (a
       high-water mark like ``proc_workers``: merged by max);
     * ``warnings`` — coded execution warnings (e.g. a requested process
-      pool silently falling back to threads would be invisible without
+      pool silently falling back to serial would be invisible without
       this): ``"CODE: message"`` strings, appended via :func:`warn_coded`
       so callers without a stats instance still see a Python
       ``RuntimeWarning``.  The list is a bounded *display* set: one
@@ -125,7 +123,7 @@ class EngineStats:
       their shard's heartbeat went stale past the shard deadline;
     * ``shard_retries`` — shards re-submitted to a rebuilt pool after a
       hang (each lost shard is retried exactly once before the run
-      falls down the usual process→thread/serial ladder);
+      falls back from processes to the serial path);
     * ``supervise_wakeups`` — bounded waits the supervisor loop issued
       while watching shard futures (0 when supervision is disabled);
     * ``breaker_state`` — last observed circuit-breaker state per
@@ -161,7 +159,6 @@ class EngineStats:
     wide_batches: int = 0
     words_per_batch: int = 0
     vector_ops: int = 0
-    parallel_chunks: int = 0
     proc_shards: int = 0
     proc_workers: int = 0
     shm_bytes: int = 0
@@ -228,7 +225,6 @@ class EngineStats:
             self.words_per_batch, other.words_per_batch
         )
         self.vector_ops += other.vector_ops
-        self.parallel_chunks += other.parallel_chunks
         self.proc_shards += other.proc_shards
         self.proc_workers = max(self.proc_workers, other.proc_workers)
         self.shm_bytes += other.shm_bytes
@@ -306,7 +302,6 @@ class EngineStats:
             "wide_batches": self.wide_batches,
             "words_per_batch": self.words_per_batch,
             "vector_ops": self.vector_ops,
-            "parallel_chunks": self.parallel_chunks,
             "proc_shards": self.proc_shards,
             "proc_workers": self.proc_workers,
             "shm_bytes": self.shm_bytes,
@@ -346,7 +341,7 @@ def warn_coded(
     event assertable (tests and the runner journal can check that a
     degraded execution mode *announced* itself), and the Python warning
     reaches callers that did not pass a stats instance — a requested
-    process pool must never fall back to threads or serial silently.
+    process pool must never fall back to serial silently.
 
     ``stats.warnings`` follows the same bounded-display discipline as
     :meth:`EngineStats.merge`: the first message of each code is kept

@@ -18,7 +18,7 @@ survivable, shared by both pools:
   next to the payload); a shard whose future is unfinished *and* whose
   heartbeat has not advanced within the shard deadline is declared
   hung.  The caller kills and rebuilds the pool and re-runs the lost
-  shards once before falling down the existing degradation ladder.
+  shards once before falling back to the serial path.
 * **Circuit breaker** — a process-global health score per
   ``(phase, backend, circuit-topology)``: repeated process-layer
   failures open the breaker so a flaky environment stops paying the
@@ -66,7 +66,7 @@ class WorkerHungError(RuntimeError):
 
     Raised by the pools only after the one-shot shard retry also hung;
     ``fault_simulate`` / ``run_atpg`` turn it into a coded
-    ``MC-WORKER-HUNG`` warning plus the thread/serial fallback.  The
+    ``MC-WORKER-HUNG`` warning plus the serial fallback.  The
     counters carried here let the fallback path surface the supervision
     story even though the failed attempt's staged stats are discarded.
     """
@@ -298,7 +298,7 @@ class CircuitBreaker:
     reopens it for another cooldown).  Transitions never change any
     verdict — the breaker only decides whether the *process* execution
     path is attempted; rejected calls take the same bit-identical
-    thread/serial fallback as any other ``ProcessExecUnavailable``.
+    serial fallback as any other ``ProcessExecUnavailable``.
     """
 
     def __init__(self, threshold: int = 3, cooldown: float = 30.0):

@@ -8,10 +8,10 @@ benchmark circuit, and the UNDETECTABLE set stays identical under a
 budget generous enough for every UNSAT proof to complete.  Under a
 *tight* budget only the conservative containments are guaranteed (the
 abort schedule is legitimately different across shards) — those are
-asserted separately.  The suite also locks the ``REPRO_ATPG_EXEC``
-environment dispatch, the flow-level undetectable counts through
-``analyze_design``, and the chaos-injected SAT-worker-death fallback
-(``MC-FALLBACK-ATPG`` + unchanged verdicts).
+asserted separately.  The suite also locks the ``REPRO_SIM_EXEC``
+environment dispatch of the SAT phase, the flow-level undetectable
+counts through ``analyze_design``, and the chaos-injected
+SAT-worker-death fallback (``MC-FALLBACK-ATPG`` + unchanged verdicts).
 
 Every ATPG run here uses ``random_rounds=0`` so all representatives
 reach the deterministic phase — otherwise the random phase drops most
@@ -137,47 +137,19 @@ def test_analyze_design_undetectable_counts(library, name):
     assert proc_state.atpg.undetectable == serial_state.atpg.undetectable
 
 
-def test_env_dispatch_atpg_exec(cells, library, monkeypatch):
-    """REPRO_ATPG_EXEC reroutes the SAT phase without call-site changes."""
+def test_sat_exec_defaults_to_sim_exec(cells, library, monkeypatch):
+    """REPRO_SIM_EXEC=process shards the SAT phase without call-site
+    changes, and the verdicts stay those of the serial scan."""
     circuit = _bench("sparc_lsu", library)
     faults = mixed_fault_list(circuit, library, seed=0, per_kind=6)
     assert len(faults) >= MIN_PARALLEL_SAT_FAULTS
     baseline = _run(circuit, cells, faults, 0, "serial")
-
-    monkeypatch.setenv("REPRO_ATPG_EXEC", "process")
-    monkeypatch.setenv("REPRO_SIM_WORKERS", str(WORKERS))
-    rerouted = run_atpg(circuit, cells, faults, seed=0, random_rounds=0)
-    assert rerouted.detected == baseline.detected
-    assert rerouted.undetectable == baseline.undetectable
-    assert rerouted.stats.sat_shards > 0 or _fell_back(rerouted.stats)
-
-    monkeypatch.setenv("REPRO_ATPG_EXEC", "sideways")
-    with pytest.raises(ValueError):
-        run_atpg(circuit, cells, faults, seed=0, random_rounds=0)
-
-
-def test_atpg_exec_overrides_sim_exec(cells, library, monkeypatch):
-    """REPRO_ATPG_EXEC=serial pins the SAT phase even when simulation
-    batches run in process mode via REPRO_SIM_EXEC."""
-    circuit = _bench("sparc_lsu", library)
-    faults = mixed_fault_list(circuit, library, seed=0, per_kind=6)
-    monkeypatch.setenv("REPRO_SIM_EXEC", "process")
-    monkeypatch.setenv("REPRO_ATPG_EXEC", "serial")
-    monkeypatch.setenv("REPRO_SIM_WORKERS", str(WORKERS))
-    result = run_atpg(circuit, cells, faults, seed=0, random_rounds=0)
-    assert result.stats.sat_shards == 0
-    assert not _fell_back(result.stats)
-
-
-def test_sat_exec_defaults_to_sim_exec(cells, library, monkeypatch):
-    """With only REPRO_SIM_EXEC=process set, the SAT phase shards too."""
-    circuit = _bench("sparc_lsu", library)
-    faults = mixed_fault_list(circuit, library, seed=0, per_kind=6)
-    monkeypatch.delenv("REPRO_ATPG_EXEC", raising=False)
     monkeypatch.setenv("REPRO_SIM_EXEC", "process")
     monkeypatch.setenv("REPRO_SIM_WORKERS", str(WORKERS))
     result = run_atpg(circuit, cells, faults, seed=0, random_rounds=0)
     assert result.stats.sat_shards > 0 or result.stats.warnings
+    assert result.detected == baseline.detected
+    assert result.undetectable == baseline.undetectable
 
 
 def test_effort_counters_surface(cells, library):

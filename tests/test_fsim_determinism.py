@@ -2,7 +2,8 @@
 
 The worker count is a throughput knob, never a semantics knob: detect
 words, ATPG classification, generated tests, and coverage must be
-byte-identical between ``workers=1`` and ``workers=4`` for a fixed seed.
+byte-identical between ``workers=1`` and ``workers=4`` process
+execution for a fixed seed.
 Also pins the 64-pattern word-boundary behaviour of
 ``detected_by_patterns``.
 """
@@ -29,20 +30,24 @@ def test_fault_simulate_workers_bit_identical(cells, library, seed):
     serial = fault_simulate(circuit, cells, faults, batch, workers=1)
     stats = EngineStats()
     parallel = fault_simulate(
-        circuit, cells, faults, batch, workers=4, stats=stats)
+        circuit, cells, faults, batch, workers=4, exec_mode="process",
+        stats=stats)
     assert parallel == serial
-    assert stats.parallel_chunks > 1  # the parallel path actually ran
+    assert stats.proc_shards > 1  # the parallel path actually ran
     assert any(serial)
 
 
 def test_parallel_events_match_serial(cells, library):
-    """Worker views merge their event counts back losslessly."""
+    """Worker processes merge their event counts back losslessly."""
     circuit = random_mapped_circuit(cells, seed=60)
     faults = mixed_fault_list(circuit, library=library, seed=6)
     batch = PatternBatch.random(circuit, 32, seed=6)
     s1, s4 = EngineStats(), EngineStats()
     fault_simulate(circuit, cells, faults, batch, workers=1, stats=s1)
-    fault_simulate(circuit, cells, faults, batch, workers=4, stats=s4)
+    fault_simulate(
+        circuit, cells, faults, batch, workers=4, exec_mode="process",
+        stats=s4)
+    assert s4.proc_shards > 1
     assert s4.events_propagated == s1.events_propagated
     assert s4.faults_simulated == s1.faults_simulated == len(faults)
 
@@ -62,7 +67,7 @@ def test_detected_by_patterns_word_boundary(cells, library, n_pairs):
     ]
     flags = detected_by_patterns(circuit, cells, faults, pairs)
     parallel = detected_by_patterns(
-        circuit, cells, faults, pairs, workers=4)
+        circuit, cells, faults, pairs, workers=4, exec_mode="process")
     words = reference_detect_words(circuit, cells, faults, pairs)
     assert flags == parallel == [w != 0 for w in words]
     assert any(flags) and not all(flags)
@@ -73,7 +78,8 @@ def test_run_atpg_workers_byte_identical(adder4, cells, library):
     faults = enumerate_internal_faults(adder4, library)
     faults += mixed_fault_list(adder4, seed=8, per_kind=4)
     serial = run_atpg(adder4, cells, faults, seed=3, workers=1)
-    parallel = run_atpg(adder4, cells, faults, seed=3, workers=4)
+    parallel = run_atpg(
+        adder4, cells, faults, seed=3, workers=4, exec_mode="process")
     assert parallel.tests == serial.tests
     assert parallel.detected == serial.detected
     assert parallel.undetectable == serial.undetectable
@@ -85,14 +91,15 @@ def test_run_atpg_workers_byte_identical(adder4, cells, library):
 def test_all_stats_counters_identical_serial_vs_parallel(cells, library):
     """Worker count must not change any effort counter.
 
-    Per-chunk counters are accumulated in worker-local views and merged
+    Per-shard counters are staged by the worker processes and merged
     once at join, so workers=4 reports exactly the counters workers=1
-    does.  Excluded by design: ``parallel_chunks`` (counts the chunks
-    themselves) and the eval-cache temperature split (the compiled-eval
-    lru_cache is process-wide, so hits vs. misses depend on what ran
-    earlier — their *sum* must still match), plus wall-clock phases.
+    does.  Excluded by design: the process-dispatch bookkeeping (shards,
+    pool width, shared-memory bytes, balance, supervision metadata) and
+    the eval-cache temperature split (the compiled-eval lru_cache is
+    process-wide, so hits vs. misses depend on what ran earlier — their
+    *sum* must still match), plus wall-clock phases.
     """
-    def run(workers):
+    def run(workers, exec_mode):
         # Fresh circuit object per run: both runs start with a cold
         # compiled plan and a cold good-value cache.
         circuit = random_mapped_circuit(cells, seed=55)
@@ -100,15 +107,17 @@ def test_all_stats_counters_identical_serial_vs_parallel(cells, library):
         batch = PatternBatch.random(circuit, 48, seed=5)
         stats = EngineStats()
         out = fault_simulate(
-            circuit, cells, faults, batch, workers=workers, stats=stats)
+            circuit, cells, faults, batch, workers=workers,
+            exec_mode=exec_mode, stats=stats)
         return out, stats.as_dict()
 
-    out1, serial = run(1)
-    out4, parallel = run(4)
+    out1, serial = run(1, "serial")
+    out4, parallel = run(4, "process")
     assert out4 == out1
-    assert parallel["parallel_chunks"] > 1
+    assert parallel["proc_shards"] > 1
     volatile = {
-        "parallel_chunks", "phase_seconds",
+        "proc_shards", "proc_workers", "shm_bytes", "shard_imbalance",
+        "breaker_state", "supervise_wakeups", "phase_seconds",
         "eval_cache_hits", "eval_cache_misses",
     }
     assert (

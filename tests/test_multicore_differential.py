@@ -63,7 +63,7 @@ def _bench(name, library):
 # and the bounded global evaluator cache (whose temperature depends on
 # what ran before in the same session).
 _VOLATILE = {
-    "parallel_chunks", "phase_seconds", "eval_cache_hits",
+    "phase_seconds", "eval_cache_hits",
     "eval_cache_misses", "proc_shards", "proc_workers", "shm_bytes",
     "shard_imbalance", "warnings",
     # Supervision metadata exists only on the process path by nature
@@ -200,9 +200,14 @@ def test_env_dispatch_selects_process_mode(cells, library, monkeypatch):
     assert rerouted == baseline
     assert stats.proc_shards > 0 or stats.warnings
 
-    monkeypatch.setenv("REPRO_SIM_EXEC", "sideways")
-    with pytest.raises(ValueError, match="unknown execution mode"):
-        fault_simulate(circuit, cells, faults, batch)
+    # "thread" was an execution mode once; it is rejected like any typo,
+    # from the environment and from the keyword alike.
+    for bad in ("sideways", "thread"):
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            fault_simulate(circuit, cells, faults, batch, exec_mode=bad)
+        monkeypatch.setenv("REPRO_SIM_EXEC", bad)
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            fault_simulate(circuit, cells, faults, batch)
 
     monkeypatch.setenv("REPRO_SIM_EXEC", "auto")
     monkeypatch.setenv("REPRO_SIM_WORKERS", "0")
@@ -211,7 +216,7 @@ def test_env_dispatch_selects_process_mode(cells, library, monkeypatch):
 
 
 def test_auto_mode_uses_processes_for_wide_backend(cells, library):
-    """exec_mode=auto: threads for event, shared-memory procs for wide."""
+    """exec_mode=auto: serial for event, shared-memory procs for wide."""
     circuit = random_mapped_circuit(cells, seed=31)
     faults = mixed_fault_list(circuit, library, seed=31)
     batch = PatternBatch.random(circuit, 128, seed=31)
@@ -221,13 +226,12 @@ def test_auto_mode_uses_processes_for_wide_backend(cells, library):
         circuit, cells, faults, batch,
         workers=2, backend="event", exec_mode="auto", stats=event_stats,
     )
-    assert event_stats.parallel_chunks > 0
     assert event_stats.proc_shards == 0
+    assert event_stats.warnings == []
 
     wide_stats = EngineStats()
     fault_simulate(
         circuit, cells, faults, batch,
         workers=2, backend="wide", exec_mode="auto", stats=wide_stats,
     )
-    assert wide_stats.parallel_chunks == 0
     assert wide_stats.proc_shards > 0 or wide_stats.warnings

@@ -125,14 +125,47 @@ class TestFingerprints:
     def test_env_knob_changes_fingerprint(self):
         spec = TaskSpec("a", "sum", {"value": 1})
         f1 = fingerprint_task(spec, {}, env={})
-        f2 = fingerprint_task(spec, {}, env={"REPRO_SCALE": "2"})
-        assert f1 != f2
+        # The ATPG budgets decide which faults abort, so they move
+        # verdicts and the Aborted/U columns like the sweep knobs do.
+        for knob, value in [
+            ("REPRO_SCALE", "2"),
+            ("REPRO_ATPG_DEADLINE_MS", "50"),
+            ("REPRO_ATPG_CONFLICT_BUDGET", "5"),
+            ("REPRO_ATPG_DECISION_BUDGET", "5"),
+            ("REPRO_ATPG_ABORT_FRACTION", "0.5"),
+        ]:
+            assert fingerprint_task(spec, {}, env={knob: value}) != f1, knob
+
+    def test_default_fingerprint_unchanged(self):
+        # Only knobs that are set enter the hash, so adding knobs to
+        # ENV_KNOBS must leave every default fingerprint as it was; the
+        # digest was recorded before the ATPG budget knobs were added.
+        spec = TaskSpec("a", "analyze", {"circuit": "sparc_tlu", "seed": 0})
+        expected = ("sha256:e0a49bf301a1cc2f76c1378deaf01957"
+                    "f1c8345a78f569d3db256633c7373119")
+        assert fingerprint_task(spec, {}, env={}) == expected
+        # Execution-only knobs stay out of the hash.
+        assert fingerprint_task(
+            spec, {}, env={"REPRO_SIM_EXEC": "process"}
+        ) == expected
 
     def test_dep_fingerprint_chains(self):
         spec = TaskSpec("b", "sum", {"value": 2}, deps=("a",))
         f1 = fingerprint_task(spec, {"a": "sha256:x"}, env={})
         f2 = fingerprint_task(spec, {"a": "sha256:y"}, env={})
         assert f1 != f2
+
+
+def test_cli_rejects_thread_exec_mode(capsys):
+    """``--exec-mode`` offers serial/process/auto; "thread" is gone."""
+    from repro.runner.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--exec-mode", "thread"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'thread'" in err
+    assert "'serial', 'process', 'auto'" in err
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ locked in here:
   counters visible;
 * a shard that hangs *again* after the rebuild raises
   :class:`WorkerHungError`, and ``fault_simulate`` / ``run_atpg`` fall
-  down the existing thread/serial ladder — still bit-identical;
+  back to the serial path — still bit-identical;
 * with supervision disabled the very same injection wedges the dispatch
   for the duration of the hang (demonstrated under a timeout guard) —
   exactly the failure mode the layer exists for;
@@ -450,7 +450,7 @@ def test_always_hanging_shards_fall_down_the_ladder(
 ):
     """Per-process hang counters re-hang the rebuilt pool too: after the
     one-shot retry the dispatch raises WorkerHungError and fault_simulate
-    lands on the thread/serial fallback — still bit-identical."""
+    lands on the serial fallback — still bit-identical."""
     monkeypatch.setenv("REPRO_SUPERVISE_SHARD_TIMEOUT", "0.25")
     circuit, faults, batch = _workload(cells, library, seed=61)
     serial = fault_simulate(
